@@ -34,8 +34,7 @@
 //! Each measurement runs `--reps` times and keeps the fastest (wall-clock
 //! noise only ever slows a run down). `--phases` additionally runs one
 //! profiled pass per entry to break the cycle loop into its five phases via
-//! `TraceConfig::profile` (the `ANTON_SIM_PROFILE` environment variable
-//! still works; see DESIGN.md "Simulator kernel & profiling").
+//! `TraceConfig::profile` (see DESIGN.md "Simulator kernel & profiling").
 //! `--quick` shrinks everything for the CI smoke job.
 
 use std::hint::black_box;
@@ -308,8 +307,7 @@ fn time_run<D: anton_sim::ShardableDriver>(
 }
 
 /// Builds and runs one workload once, returning (cycles, wall seconds).
-/// `profile` turns on the per-phase profiler via [`TraceConfig`] (the
-/// structured replacement for exporting `ANTON_SIM_PROFILE`). `shards > 1`
+/// `profile` turns on the per-phase profiler via [`TraceConfig`]. `shards > 1`
 /// runs on the sharded parallel kernel (same cycles, different wall clock).
 fn run_once(
     workload: &str,

@@ -31,7 +31,9 @@ use crate::net::{
     Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
 };
 use crate::topology::{Dim, NodeCoord, NodeId, Sign, Slice, TorusDir};
-use crate::trace::{trace_hops_with, GlobalLink};
+use crate::trace::{
+    push_delivery, push_departure, push_mesh, push_through, trace_hops_with, GlobalLink,
+};
 use crate::vc::{Vc, VcState};
 
 fn dim_bit(d: Dim) -> u8 {
@@ -159,17 +161,10 @@ impl DimOrderRouting {
     ) -> Vec<Progress> {
         let cfg = &self.cfg;
         let coord = cfg.shape.coord(node);
-        let m = state.vc_for(LinkGroup::M);
         let mut out = Vec::new();
         for ep in cfg.chip.endpoints() {
-            let mut steps = self.mesh_steps(node, entry_router, cfg.chip.endpoint_router(ep), m);
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::RouterToEp(ep),
-                },
-                m,
-            ));
+            let mut steps = Vec::new();
+            push_delivery(cfg, &mut steps, node, entry_router, ep, &state);
             out.push(Progress { steps, next: None });
         }
         for dim in Dim::ALL {
@@ -182,68 +177,26 @@ impl DimOrderRouting {
                     let depart = ChanId { dir, slice };
                     let mut st = state;
                     st.begin_dim();
-                    let t_dep = st.vc_for(LinkGroup::T);
-                    let mut steps =
-                        self.mesh_steps(node, entry_router, cfg.chip.chan_router(depart), m);
-                    steps.push((
-                        GlobalLink::Local {
-                            node,
-                            link: LocalLink::RouterToChan(depart),
-                        },
-                        t_dep,
-                    ));
-                    let tvc = st.torus_hop(self.crosses(coord, dir));
-                    steps.push((
-                        GlobalLink::Torus {
-                            from: node,
-                            dir,
-                            slice,
-                        },
-                        tvc,
-                    ));
-                    let nbr = cfg.shape.id(cfg.shape.neighbor(coord, dir));
-                    steps.push((
-                        GlobalLink::Local {
-                            node: nbr,
-                            link: LocalLink::ChanToRouter(ChanId {
-                                dir: dir.opposite(),
-                                slice,
-                            }),
-                        },
-                        tvc,
-                    ));
+                    let mut steps = Vec::new();
+                    push_mesh(
+                        cfg,
+                        &mut steps,
+                        node,
+                        entry_router,
+                        cfg.chip.chan_router(depart),
+                        &st,
+                    );
+                    let crosses = self.crosses(coord, dir);
+                    let nbr = push_departure(cfg, &mut steps, coord, depart, &mut st, crosses);
                     let ii = self.inarc_idx[&(st, mask)];
                     out.push(Progress {
                         steps,
-                        next: Some((nbr, Self::inarc_state(ii, 1))),
+                        next: Some((cfg.shape.id(nbr), Self::inarc_state(ii, 1))),
                     });
                 }
             }
         }
         out
-    }
-
-    /// On-chip mesh hops from `from` to `to` (direction-order), all at `m`.
-    fn mesh_steps(
-        &self,
-        node: NodeId,
-        from: MeshCoord,
-        to: MeshCoord,
-        m: Vc,
-    ) -> Vec<(GlobalLink, Vc)> {
-        let mut steps = Vec::new();
-        let mut cur = from;
-        while let Some(d) = self.cfg.dir_order.next_dir(cur, to) {
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::Mesh { from: cur, dir: d },
-                },
-                m,
-            ));
-            cur = cur.step(d).expect("direction-order route stays on chip");
-        }
-        steps
     }
 
     /// Validates a candidate witness by re-tracing it through the reference
@@ -396,54 +349,19 @@ impl RoutingFunction for DimOrderRouting {
             if hops < self.max_arc_len(dir.dim) {
                 let crosses = self.crosses(coord, dir);
                 if !(crosses && st.crossed()) {
-                    let t = st.vc_for(LinkGroup::T);
                     let mut st2 = st;
                     let mut steps = Vec::new();
-                    if dir.dim == Dim::X {
-                        // X through-traffic bypasses the chip via the skip
-                        // channel; Y/Z adapters share a router.
-                        steps.push((
-                            GlobalLink::Local {
-                                node,
-                                link: LocalLink::Skip {
-                                    from: self.cfg.chip.chan_router(arrive),
-                                },
-                            },
-                            t,
-                        ));
-                    }
+                    push_through(&self.cfg, &mut steps, node, arrive, &st2);
                     let depart = ChanId {
                         dir,
                         slice: arrive.slice,
                     };
-                    steps.push((
-                        GlobalLink::Local {
-                            node,
-                            link: LocalLink::RouterToChan(depart),
-                        },
-                        t,
-                    ));
-                    let tvc = st2.torus_hop(crosses);
-                    steps.push((
-                        GlobalLink::Torus {
-                            from: node,
-                            dir,
-                            slice: arrive.slice,
-                        },
-                        tvc,
-                    ));
-                    let nbr = self.cfg.shape.id(self.cfg.shape.neighbor(coord, dir));
-                    steps.push((
-                        GlobalLink::Local {
-                            node: nbr,
-                            link: LocalLink::ChanToRouter(arrive),
-                        },
-                        tvc,
-                    ));
+                    let nbr =
+                        push_departure(&self.cfg, &mut steps, coord, depart, &mut st2, crosses);
                     let ii = self.inarc_idx[&(st2, pre_mask)];
                     out.push(Progress {
                         steps,
-                        next: Some((nbr, Self::inarc_state(ii, hops + 1))),
+                        next: Some((self.cfg.shape.id(nbr), Self::inarc_state(ii, hops + 1))),
                     });
                 }
             }

@@ -1,19 +1,25 @@
 //! Explicit [`RouteTable`] routes as a [`RoutingFunction`].
 //!
-//! A degraded-torus route table pins down one concrete path per `(src, dst)`
-//! pair on one slice. This adapter exposes exactly the channel-dependency
-//! edges those paths produce — the full link-level trace of every pair
-//! (endpoint 0 standing in for the endpoint-independent torus portion), plus
-//! the injection / delivery mesh fans of every other endpoint at each node,
-//! and the node-local endpoint-pair deliveries. It reproduces, edge for
-//! edge, what the degraded certifier's hand-rolled path walker used to
-//! overlay on the healthy graph; the certifier now consumes it through the
-//! same engine as every other routing function.
+//! A degraded-torus route table pins down one next hop per `(node, dst)`
+//! pair on one slice. This adapter walks the table the way the simulator
+//! runs it — [`RouteTable::next_hop`] at every node, a dimension run ending
+//! where the next hop leaves the arrival dimension — and writes every step
+//! through the reference tracer's per-hop emitters. A packet's abstract
+//! state is its destination and its VC ladder, at one of three places:
 //!
-//! Every transition here is a complete route (no successor state): the
-//! abstract state space is just an enumeration of the route set.
-
-use std::collections::HashSet;
+//! * an **injection** buffer (`EpToRouter`), destination not yet fixed:
+//!   deliver to an endpoint of the same node, or leave on any first hop the
+//!   node's routes take;
+//! * the **first arrival** adapter, one hop from the source, destination not
+//!   yet fixed: fix it in place to every destination whose route starts with
+//!   that hop — so the source's endpoints share one walk per destination;
+//! * an arrival adapter **en route** to a fixed destination: continue the
+//!   run, end it and depart on the next one, or deliver to every endpoint
+//!   of the destination.
+//!
+//! Reachable states are exactly the prefixes of real table routes, so the
+//! dependency graph is the union of the traced routes between every pair
+//! of endpoints (pinned by the `table_routing` suite of `anton-verify`).
 
 use crate::chip::{ChanId, LinkGroup, LocalEndpointId, LocalLink, MeshCoord};
 use crate::config::{GlobalEndpoint, MachineConfig};
@@ -21,92 +27,28 @@ use crate::net::{
     Arrival, ConcreteRoute, DepEdge, Progress, RoutePath, RouteState, RoutingFunction,
 };
 use crate::route_table::RouteTable;
-use crate::topology::NodeId;
-use crate::trace::{trace_table_hops, GlobalLink};
-use crate::vc::Vc;
+use crate::topology::{NodeId, TorusDir};
+use crate::trace::{
+    push_delivery, push_departure, push_mesh, push_through, trace_table_hops, GlobalLink, TraceStep,
+};
+use crate::vc::VcState;
 
-const TAG_PATH: u64 = 0;
-const TAG_INJ: u64 = 1;
-const TAG_DELIVER: u64 = 2;
-const TAG_LOCAL: u64 = 3;
+/// Destination field of a state whose destination is not fixed yet.
+const ANY_DST: u32 = u32::MAX;
 
-/// One route table's dependency edges, exposed as a [`RoutingFunction`]
-/// over the torus topology it was built for.
+/// One route table's routes, exposed as a [`RoutingFunction`] over the
+/// torus topology it was built for.
 #[derive(Debug, Clone)]
 pub struct TableRouting {
     cfg: MachineConfig,
     table: RouteTable,
-    /// Per source node: the first-departure adapters its table paths use,
-    /// with the VC requested there.
-    departs: Vec<Vec<(ChanId, Vc)>>,
-    /// Per destination node: the terminal arrival adapters, with the T-VC
-    /// of the arrival and the M-VC the delivery runs at.
-    arrivals: Vec<Vec<(ChanId, Vc, Vc)>>,
 }
 
 impl TableRouting {
-    /// Wraps `table` (built for `cfg.shape`) as a routing function.
-    ///
-    /// Construction walks every `(src, dst)` pair once through the
-    /// reference tracer to learn the adapter fan-in/fan-out of each node;
-    /// the per-pair traces themselves are re-derived on demand.
+    /// Wraps `table` (built for `cfg.shape`, every pair reachable) as a
+    /// routing function.
     pub fn new(cfg: MachineConfig, table: RouteTable) -> TableRouting {
-        let shape = cfg.shape;
-        let slice = table.slice();
-        let ep0 = LocalEndpointId(0);
-        let n = shape.num_nodes();
-        let mut departs: Vec<HashSet<(ChanId, Vc)>> = vec![HashSet::new(); n];
-        let mut arrivals: Vec<HashSet<(ChanId, Vc, Vc)>> = vec![HashSet::new(); n];
-        let mut crosses = |c, d| shape.hop_crosses_dateline(c, d);
-        for src in shape.nodes() {
-            for dst in shape.nodes() {
-                if src == dst {
-                    continue;
-                }
-                let Some(hops) = table.path(shape.id(src), shape.id(dst)) else {
-                    continue;
-                };
-                let steps =
-                    trace_table_hops(&cfg, src, Some(ep0), &hops, slice, Some(ep0), &mut crosses);
-                for (link, vc) in &steps {
-                    if let GlobalLink::Local {
-                        link: LocalLink::RouterToChan(c),
-                        ..
-                    } = link
-                    {
-                        departs[shape.id(src).0 as usize].insert((*c, *vc));
-                        break;
-                    }
-                }
-                let m_final = steps.last().expect("trace is never empty").1;
-                for (link, vc) in steps.iter().rev() {
-                    if let GlobalLink::Local {
-                        link: LocalLink::ChanToRouter(c),
-                        ..
-                    } = link
-                    {
-                        arrivals[shape.id(dst).0 as usize].insert((*c, *vc, m_final));
-                        break;
-                    }
-                }
-            }
-        }
-        let sort = |s: HashSet<(ChanId, Vc)>| {
-            let mut v: Vec<_> = s.into_iter().collect();
-            v.sort_by_key(|(c, vc)| (c.index(), vc.0));
-            v
-        };
-        let sort3 = |s: HashSet<(ChanId, Vc, Vc)>| {
-            let mut v: Vec<_> = s.into_iter().collect();
-            v.sort_by_key(|(c, vc, m)| (c.index(), vc.0, m.0));
-            v
-        };
-        TableRouting {
-            cfg,
-            table,
-            departs: departs.into_iter().map(sort).collect(),
-            arrivals: arrivals.into_iter().map(sort3).collect(),
-        }
+        TableRouting { cfg, table }
     }
 
     /// The wrapped table.
@@ -114,61 +56,91 @@ impl TableRouting {
         &self.table
     }
 
-    fn m0(&self) -> Vc {
-        self.cfg.vc_policy.start().vc_for(LinkGroup::M)
+    fn state(dst: Option<NodeId>, vc: VcState) -> RouteState {
+        RouteState(u64::from(vc.to_word()) << 32 | u64::from(dst.map_or(ANY_DST, |d| d.0)))
     }
 
-    fn ep_in(&self, node: NodeId, ep: LocalEndpointId) -> GlobalLink {
-        GlobalLink::Local {
-            node,
-            link: LocalLink::EpToRouter(ep),
-        }
+    fn decode(&self, state: RouteState) -> (Option<NodeId>, VcState) {
+        let dst = state.0 as u32;
+        (
+            (dst != ANY_DST).then_some(NodeId(dst)),
+            VcState::from_word(self.cfg.vc_policy, (state.0 >> 32) as u32),
+        )
     }
 
-    /// The reference trace of the table path `src → dst` (endpoint 0 both
-    /// ends), or `None` for a pair the table cannot reach.
-    fn pair_trace(&self, src: NodeId, dst: NodeId) -> Option<Vec<(GlobalLink, Vc)>> {
-        let shape = self.cfg.shape;
-        let hops = self.table.path(src, dst)?;
-        let ep0 = LocalEndpointId(0);
-        let mut crosses = |c, d| shape.hop_crosses_dateline(c, d);
-        Some(trace_table_hops(
-            &self.cfg,
-            shape.coord(src),
-            Some(ep0),
-            &hops,
-            self.table.slice(),
-            Some(ep0),
-            &mut crosses,
-        ))
+    /// Destinations (other than `node`) whose table route leaves `node`
+    /// through `dir`.
+    fn dsts_via(&self, node: NodeId, dir: TorusDir) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.cfg.shape.num_nodes() as u32)
+            .map(NodeId)
+            .filter(move |&d| {
+                self.table.reachable(node, d) && self.table.next_hop(node, d) == Some(dir)
+            })
     }
 
-    /// On-chip mesh hops from `from` to `to` (direction-order), all at `m`.
-    fn mesh_steps(
+    /// Starts a dimension run at `node`: the mesh hops from router `from`
+    /// to the departure adapter of `dir`, then [`TableRouting::leave`].
+    fn depart(
         &self,
         node: NodeId,
         from: MeshCoord,
-        to: MeshCoord,
-        m: Vc,
-    ) -> Vec<(GlobalLink, Vc)> {
+        dir: TorusDir,
+        mut vc: VcState,
+        dst: Option<NodeId>,
+    ) -> Progress {
+        let chan = ChanId {
+            dir,
+            slice: self.table.slice(),
+        };
+        vc.begin_dim();
         let mut steps = Vec::new();
-        let mut cur = from;
-        while let Some(d) = self.cfg.dir_order.next_dir(cur, to) {
-            steps.push((
-                GlobalLink::Local {
-                    node,
-                    link: LocalLink::Mesh { from: cur, dir: d },
-                },
-                m,
-            ));
-            cur = cur.step(d).expect("direction-order route stays on chip");
-        }
-        steps
+        push_mesh(
+            &self.cfg,
+            &mut steps,
+            node,
+            from,
+            self.cfg.chip.chan_router(chan),
+            &vc,
+        );
+        self.leave(node, steps, dir, vc, dst)
     }
-}
 
-fn pack(tag: u64, a: u64, b: u64, c: u64) -> RouteState {
-    RouteState(tag | (a << 2) | (b << 22) | (c << 30))
+    /// Leaves `node` toward `dir` after the on-chip `steps`: the departure,
+    /// and the packet's state in the neighbour's arrival adapter.
+    fn leave(
+        &self,
+        node: NodeId,
+        mut steps: Vec<TraceStep>,
+        dir: TorusDir,
+        mut vc: VcState,
+        dst: Option<NodeId>,
+    ) -> Progress {
+        let shape = &self.cfg.shape;
+        let at = shape.coord(node);
+        let chan = ChanId {
+            dir,
+            slice: self.table.slice(),
+        };
+        let crosses = shape.hop_crosses_dateline(at, dir);
+        let next = push_departure(&self.cfg, &mut steps, at, chan, &mut vc, crosses);
+        Progress {
+            steps,
+            next: Some((shape.id(next), Self::state(dst, vc))),
+        }
+    }
+
+    /// Delivery from router `from` of `node` to each of its endpoints.
+    fn deliveries(&self, node: NodeId, from: MeshCoord, vc: &VcState) -> Vec<Progress> {
+        self.cfg
+            .chip
+            .endpoints()
+            .map(|ep| {
+                let mut steps = Vec::new();
+                push_delivery(&self.cfg, &mut steps, node, from, ep, vc);
+                Progress { steps, next: None }
+            })
+            .collect()
+    }
 }
 
 impl RoutingFunction for TableRouting {
@@ -186,139 +158,73 @@ impl RoutingFunction for TableRouting {
     }
 
     fn roots(&self) -> Vec<Arrival> {
-        let cfg = &self.cfg;
-        let m0 = self.m0();
-        let ep0 = LocalEndpointId(0);
-        let n = cfg.shape.num_nodes();
+        let start = self.cfg.vc_policy.start();
         let mut out = Vec::new();
-        // Every (src, dst) table path, traced end to end.
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst
-                    || self
-                        .table
-                        .path(NodeId(src as u32), NodeId(dst as u32))
-                        .is_none()
-                {
-                    continue;
-                }
-                let node = NodeId(src as u32);
+        for node in (0..self.cfg.shape.num_nodes() as u32).map(NodeId) {
+            for ep in self.cfg.chip.endpoints() {
                 out.push(Arrival {
                     node,
-                    link: self.ep_in(node, ep0),
-                    vc: m0,
-                    state: RouteState(TAG_PATH | ((src as u64) << 2) | ((dst as u64) << 22)),
+                    link: GlobalLink::Local {
+                        node,
+                        link: LocalLink::EpToRouter(ep),
+                    },
+                    vc: start.vc_for(LinkGroup::M),
+                    state: Self::state(None, start),
                 });
-            }
-        }
-        // Injection / delivery mesh fans of every other endpoint, plus
-        // node-local endpoint-pair deliveries.
-        for nid in 0..n {
-            let node = NodeId(nid as u32);
-            for ep in cfg.chip.endpoints() {
-                for idx in 0..self.departs[nid].len() {
-                    out.push(Arrival {
-                        node,
-                        link: self.ep_in(node, ep),
-                        vc: m0,
-                        state: pack(TAG_INJ, nid as u64, u64::from(ep.0), idx as u64),
-                    });
-                }
-                for idx in 0..self.arrivals[nid].len() {
-                    let (arrive, tvc, _) = self.arrivals[nid][idx];
-                    out.push(Arrival {
-                        node,
-                        link: GlobalLink::Local {
-                            node,
-                            link: LocalLink::ChanToRouter(arrive),
-                        },
-                        vc: tvc,
-                        state: pack(TAG_DELIVER, nid as u64, u64::from(ep.0), idx as u64),
-                    });
-                }
-                for ep2 in cfg.chip.endpoints() {
-                    out.push(Arrival {
-                        node,
-                        link: self.ep_in(node, ep),
-                        vc: m0,
-                        state: pack(TAG_LOCAL, nid as u64, u64::from(ep.0), u64::from(ep2.0)),
-                    });
-                }
             }
         }
         out
     }
 
     fn transitions(&self, arrival: &Arrival) -> Vec<Progress> {
-        let s = arrival.state.0;
-        let chip = &self.cfg.chip;
-        match s & 3 {
-            TAG_PATH => {
-                let src = NodeId(((s >> 2) & 0xfffff) as u32);
-                let dst = NodeId(((s >> 22) & 0xfffff) as u32);
-                let Some(steps) = self.pair_trace(src, dst) else {
-                    return Vec::new();
-                };
-                // steps[0] is the injection buffer — the arrival itself.
-                vec![Progress {
-                    steps: steps[1..].to_vec(),
-                    next: None,
-                }]
+        let cfg = &self.cfg;
+        let node = arrival.node;
+        let (dst, mut vc) = self.decode(arrival.state);
+        let GlobalLink::Local { link, .. } = arrival.link else {
+            return Vec::new();
+        };
+        match (link, dst) {
+            (LocalLink::EpToRouter(ep), _) => {
+                let from = cfg.chip.endpoint_router(ep);
+                let mut out = self.deliveries(node, from, &vc);
+                for dir in TorusDir::ALL {
+                    if self.dsts_via(node, dir).next().is_some() {
+                        out.push(self.depart(node, from, dir, vc, None));
+                    }
+                }
+                out
             }
-            TAG_INJ => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let (depart, tvc) = self.departs[nid][((s >> 30) & 0x3ff) as usize];
-                let node = NodeId(nid as u32);
-                let m0 = self.m0();
-                let mut steps =
-                    self.mesh_steps(node, chip.endpoint_router(ep), chip.chan_router(depart), m0);
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToChan(depart),
-                    },
-                    tvc,
-                ));
-                vec![Progress { steps, next: None }]
+            (LocalLink::ChanToRouter(arrive), None) => {
+                let src = cfg
+                    .shape
+                    .id(cfg.shape.neighbor(cfg.shape.coord(node), arrive.dir));
+                self.dsts_via(src, arrive.dir.opposite())
+                    .map(|d| Progress {
+                        steps: Vec::new(),
+                        next: Some((node, Self::state(Some(d), vc))),
+                    })
+                    .collect()
             }
-            TAG_DELIVER => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let (arrive, _tvc, m) = self.arrivals[nid][((s >> 30) & 0x3ff) as usize];
-                let node = NodeId(nid as u32);
-                let mut steps =
-                    self.mesh_steps(node, chip.chan_router(arrive), chip.endpoint_router(ep), m);
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToEp(ep),
-                    },
-                    m,
-                ));
-                vec![Progress { steps, next: None }]
+            (LocalLink::ChanToRouter(arrive), Some(dst)) => {
+                let run = arrive.dir.opposite();
+                match self.table.next_hop(node, dst) {
+                    Some(dir) if dir.dim == run.dim => {
+                        debug_assert_eq!(dir, run, "a run keeps its direction");
+                        let mut steps = Vec::new();
+                        push_through(cfg, &mut steps, node, arrive, &vc);
+                        vec![self.leave(node, steps, dir, vc, Some(dst))]
+                    }
+                    hop => {
+                        vc.end_dim();
+                        let from = cfg.chip.chan_router(arrive);
+                        match hop {
+                            Some(dir) => vec![self.depart(node, from, dir, vc, Some(dst))],
+                            None => self.deliveries(node, from, &vc),
+                        }
+                    }
+                }
             }
-            _ => {
-                let nid = ((s >> 2) & 0xfffff) as usize;
-                let ep = LocalEndpointId(((s >> 22) & 0xff) as u8);
-                let ep2 = LocalEndpointId(((s >> 30) & 0xff) as u8);
-                let node = NodeId(nid as u32);
-                let m0 = self.m0();
-                let mut steps = self.mesh_steps(
-                    node,
-                    chip.endpoint_router(ep),
-                    chip.endpoint_router(ep2),
-                    m0,
-                );
-                steps.push((
-                    GlobalLink::Local {
-                        node,
-                        link: LocalLink::RouterToEp(ep2),
-                    },
-                    m0,
-                ));
-                vec![Progress { steps, next: None }]
-            }
+            _ => Vec::new(),
         }
     }
 
@@ -337,12 +243,18 @@ impl RoutingFunction for TableRouting {
                     continue;
                 }
                 let (s, d) = (shape.id(src), shape.id(dst));
-                let Some(steps) = self.pair_trace(s, d) else {
-                    continue;
-                };
                 let Some(hops) = self.table.path(s, d) else {
                     continue;
                 };
+                let steps = trace_table_hops(
+                    &self.cfg,
+                    src,
+                    Some(ep0),
+                    &hops,
+                    self.table.slice(),
+                    Some(ep0),
+                    &mut |c, h| shape.hop_crosses_dateline(c, h),
+                );
                 for w in steps.windows(2) {
                     let edge = (w[0], w[1]);
                     for (i, want) in wanted.iter().enumerate() {
@@ -377,23 +289,36 @@ mod tests {
     use crate::topology::{Slice, TorusShape};
 
     #[test]
-    fn healthy_table_roots_cover_all_pairs_and_fans() {
+    fn healthy_table_walk_reaches_every_destination() {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let shape = cfg.shape;
         let table =
             build_route_table(&shape, Slice(0), &DownLinkSet::empty(shape)).expect("healthy");
         let rf = TableRouting::new(cfg.clone(), table);
+        let roots = rf.roots();
+        assert_eq!(roots.len(), shape.num_nodes() * cfg.endpoints_per_node());
+        // Every injection delivers on its node and leaves on the first
+        // hops of its routes; one hop out, the walk fans out to every
+        // destination behind that hop.
         let n = shape.num_nodes();
-        let eps = cfg.endpoints_per_node();
-        let pair_roots = n * (n - 1);
-        let local_roots = n * eps * eps;
-        assert!(rf.roots().len() >= pair_roots + local_roots);
-        // Every root's transitions terminate (no successor states).
-        for root in rf.roots() {
-            for prog in rf.transitions(&root) {
-                assert!(prog.next.is_none());
-                assert!(!prog.steps.is_empty());
+        let mut fixed = 0;
+        for prog in rf.transitions(&roots[0]) {
+            let Some((node, state)) = prog.next else {
+                continue;
+            };
+            assert!(!prog.steps.is_empty());
+            let (link, vc) = *prog.steps.last().unwrap();
+            let first = Arrival {
+                node,
+                link,
+                vc,
+                state,
+            };
+            for fan in rf.transitions(&first) {
+                assert!(fan.steps.is_empty(), "destinations are fixed in place");
+                fixed += 1;
             }
         }
+        assert_eq!(fixed, n - 1, "every other node is some hop's destination");
     }
 }

@@ -253,6 +253,31 @@ impl VcState {
     pub fn policy(&self) -> VcPolicy {
         self.policy
     }
+
+    /// The state, policy aside, as one word — for transition systems that
+    /// carry it inside an opaque route state. [`VcState::from_word`]
+    /// inverts it.
+    #[inline]
+    pub(crate) fn to_word(self) -> u32 {
+        u32::from(self.m_vc)
+            | u32::from(self.t_vc) << 8
+            | u32::from(self.dims_done) << 16
+            | u32::from(self.crossed) << 24
+            | u32::from(self.in_dim) << 25
+    }
+
+    /// Rebuilds a state of `policy` from [`VcState::to_word`].
+    #[inline]
+    pub(crate) fn from_word(policy: VcPolicy, word: u32) -> VcState {
+        VcState {
+            policy,
+            m_vc: word as u8,
+            t_vc: (word >> 8) as u8,
+            dims_done: (word >> 16) as u8,
+            crossed: word >> 24 & 1 != 0,
+            in_dim: word >> 25 & 1 != 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -324,6 +349,21 @@ mod tests {
             let vc = st.torus_hop(true);
             assert!(vc.0 <= 3, "dim {dim} post-crossing");
             st.end_dim();
+        }
+    }
+
+    #[test]
+    fn word_round_trips_every_ladder_position() {
+        for policy in [VcPolicy::Anton, VcPolicy::Baseline2n, VcPolicy::NaiveSingle] {
+            let mut st = policy.start();
+            for crossing in [true, false, true] {
+                assert_eq!(VcState::from_word(policy, st.to_word()), st);
+                st.begin_dim();
+                st.torus_hop(crossing);
+                assert_eq!(VcState::from_word(policy, st.to_word()), st);
+                st.end_dim();
+            }
+            assert_eq!(VcState::from_word(policy, st.to_word()), st);
         }
     }
 

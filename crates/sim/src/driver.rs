@@ -101,46 +101,6 @@ impl BatchDriver {
         }
     }
 
-    /// Creates a batch driver over one pattern.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `BatchDriver::builder(sim).pattern(..)` instead"
-    )]
-    pub fn uniform_pattern(
-        sim: &Sim,
-        pattern: Box<dyn TrafficPattern>,
-        packets_per_endpoint: u64,
-        seed: u64,
-    ) -> BatchDriver {
-        BatchDriver::builder(sim)
-            .pattern(pattern)
-            .packets_per_endpoint(packets_per_endpoint)
-            .seed(seed)
-            .build()
-    }
-
-    /// Creates a batch driver over a weighted blend of patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or weights are non-positive in total.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `BatchDriver::builder(sim).components(..)` instead"
-    )]
-    pub fn blended(
-        sim: &Sim,
-        components: Vec<(Box<dyn TrafficPattern>, f64)>,
-        packets_per_endpoint: u64,
-        seed: u64,
-    ) -> BatchDriver {
-        BatchDriver::builder(sim)
-            .components(components)
-            .packets_per_endpoint(packets_per_endpoint)
-            .seed(seed)
-            .build()
-    }
-
     /// Throughput in packets per cycle per endpoint, measured as the batch
     /// size over the time to receive the last packet.
     ///

@@ -106,10 +106,8 @@ impl Default for EnergyParams {
 ///
 /// Everything here is off by default and the simulator checks a single
 /// `Option` per hook site, so a default-configured run pays one predictable
-/// branch per site and allocates nothing. The legacy `ANTON_SIM_PROFILE`
-/// environment variable is folded into [`TraceConfig::profile`] at
-/// construction time (`Sim::builder().build()`): setting either turns the
-/// phase profiler on.
+/// branch per site and allocates nothing. [`TraceConfig::profile`] is the
+/// one switch of the phase profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record typed events (inject/hop/VC-promotion/grant/retransmit/
@@ -120,8 +118,9 @@ pub struct TraceConfig {
     /// Snapshot the dense kernel counters into a time-series window every
     /// this many cycles; `0` disables sampling.
     pub sample_every: u64,
-    /// Accumulate per-phase wall-clock nanoseconds (the profiler previously
-    /// enabled only by the `ANTON_SIM_PROFILE` environment variable).
+    /// Accumulate per-phase wall-clock nanoseconds into
+    /// [`PHASE_NS`](crate::sim::PHASE_NS) (and, on a sharded run, the
+    /// per-worker phase split).
     pub profile: bool,
     /// Attribute stall cycles: whenever a buffered head fails to advance,
     /// classify the cause (no credit, lost SA1/SA2, output or serializer
@@ -217,12 +216,6 @@ pub struct SimParams {
     /// every wire and adds per-push/pop bookkeeping; off by default so the
     /// plain throughput path stays untouched).
     pub collect_metrics: bool,
-    /// Count arbiter grants per arbitration-site class for
-    /// [`Metrics`](crate::metrics::Metrics). On by default; benchmark mode
-    /// turns it off to measure the bare kernel. Toggling it never changes
-    /// routing decisions or delivered packets — only whether the counters
-    /// accumulate.
-    pub collect_grants: bool,
     /// RNG seed for routing randomization.
     pub seed: u64,
     /// Cycles without any flit movement (while packets are in flight) after
@@ -257,7 +250,6 @@ impl Default for SimParams {
             energy: EnergyParams::default(),
             track_energy: false,
             collect_metrics: false,
-            collect_grants: true,
             seed: 0xA2701,
             watchdog_cycles: 50_000,
             fault: None,

@@ -50,9 +50,9 @@ use crate::wire::{BoundaryRole, BufEntry, GateEntry, Wire, WireCredits, WireRx};
 /// Maximum multicast copies queued at one replication point.
 const REPL_CAP: usize = 32;
 
-/// Per-phase nanosecond accumulators, active when the `ANTON_SIM_PROFILE`
-/// environment variable is set: wires, endpoints-inject, adapters, routers,
-/// endpoints-recv.
+/// Per-phase nanosecond accumulators, active when
+/// [`TraceConfig::profile`](crate::params::TraceConfig::profile) is set:
+/// wires, endpoints-inject, adapters, routers, endpoints-recv.
 pub static PHASE_NS: [std::sync::atomic::AtomicU64; 5] = [
     std::sync::atomic::AtomicU64::new(0),
     std::sync::atomic::AtomicU64::new(0),
@@ -748,8 +748,8 @@ pub struct Sim {
     /// endpoint attaches are ever stamped; mesh/skip rows hold placeholders
     /// routing never reads.
     target_of_code: Vec<(LocalAttach, MeshCoord)>,
-    /// Cached `ANTON_SIM_PROFILE` (checked once at construction): gates all
-    /// per-phase `Instant` reads in [`Sim::step`].
+    /// Cached [`TraceConfig::profile`](crate::params::TraceConfig::profile):
+    /// gates all per-phase `Instant` reads in [`Sim::step`].
     profile: bool,
     moved: bool,
     idle_cycles: u64,
@@ -1295,9 +1295,7 @@ impl Sim {
             .then(|| Box::new(StallTable::new(nwires, vc_shift)));
         Sim {
             cfg,
-            // The legacy environment variable still works; `TraceConfig`
-            // subsumes it.
-            profile: params.trace.profile || std::env::var_os("ANTON_SIM_PROFILE").is_some(),
+            profile: params.trace.profile,
             params,
             record_routes: false,
             now: 0,
@@ -2406,16 +2404,6 @@ impl Sim {
         RouteProgress::Unicast { spec, dst }
     }
 
-    /// Next torus hop of a table-routed packet (`None` at its destination
-    /// node).
-    fn table_next_hop(&self, set: u8, slice: Slice, cur: NodeId, dst: NodeId) -> Option<TorusDir> {
-        let dg = self
-            .degraded
-            .as_ref()
-            .expect("table packets exist only with degraded state installed");
-        dg.table_sets[set as usize][slice.0 as usize].next_hop(cur, dst)
-    }
-
     /// Whether this adapter's outgoing torus link is down in the current
     /// degradation epoch.
     fn link_down_now(&self, cidx: usize) -> bool {
@@ -2683,24 +2671,38 @@ impl Sim {
 
     // ----- routing helpers -------------------------------------------------
 
-    /// The on-chip target (adapter) of a packet at its current node.
-    fn chip_target(&self, pid: PacketId) -> LocalAttach {
-        let st = self.packets.get(pid);
-        match st.route {
-            RouteProgress::Unicast { spec, dst } => match spec.next_dir() {
-                Some(d) => LocalAttach::Chan(ChanId {
-                    dir: d,
-                    slice: spec.slice,
-                }),
-                None => LocalAttach::Endpoint(dst.ep),
-            },
+    /// Next torus hop of a unicast packet at its current node (`None` at
+    /// its destination node): the spec's next dimension-order hop, or the
+    /// next hop of the table set the packet is pinned to.
+    fn unicast_next_hop(&self, route: &RouteProgress) -> Option<TorusDir> {
+        match *route {
+            RouteProgress::Unicast { spec, .. } => spec.next_dir(),
             RouteProgress::Table {
                 set,
                 slice,
                 cur,
                 dst,
-            } => match self.table_next_hop(set, slice, cur, dst.node) {
-                Some(d) => LocalAttach::Chan(ChanId { dir: d, slice }),
+            } => {
+                let dg = self
+                    .degraded
+                    .as_ref()
+                    .expect("table packets exist only with degraded state installed");
+                dg.table_sets[set as usize][slice.0 as usize].next_hop(cur, dst.node)
+            }
+            _ => unreachable!("multicast copies follow their tree"),
+        }
+    }
+
+    /// The on-chip target (adapter) of a packet at its current node.
+    fn chip_target(&self, pid: PacketId) -> LocalAttach {
+        let route = &self.packets.get(pid).route;
+        match *route {
+            RouteProgress::Unicast {
+                spec: RouteSpec { slice, .. },
+                dst,
+            }
+            | RouteProgress::Table { slice, dst, .. } => match self.unicast_next_hop(route) {
+                Some(dir) => LocalAttach::Chan(ChanId { dir, slice }),
                 None => LocalAttach::Endpoint(dst.ep),
             },
             RouteProgress::McExit { dir, slice, .. } => LocalAttach::Chan(ChanId { dir, slice }),
@@ -2708,53 +2710,33 @@ impl Sim {
         }
     }
 
-    /// Output port and VC for a packet at a router. The result is cached in
-    /// the head buffer entry by the switch-allocation loop, so this is only
-    /// evaluated once per packet per router.
-    fn route_output(&self, ridx: usize, pid: PacketId) -> (usize, Vc) {
-        let router = &self.routers[ridx];
+    /// The chip-traversal route context a sender stamps into a packet's
+    /// buffer entry ([`BufEntry::target`] and [`BufEntry::meta`]), derived
+    /// from its slab state. Every input is fixed until the packet leaves
+    /// the chip: the target adapter (a spec route, or the table set the
+    /// packet is pinned to — installed sets never change), the VC state
+    /// (which changes only at adapters; a staged pending promotion applies
+    /// the instant the stamping send completes, so the promoted state is
+    /// stamped), and the arrival dimension (set once at torus arrival).
+    fn route_stamp(&self, pid: PacketId) -> (u8, u8) {
         let st = self.packets.get(pid);
-        let target = self.chip_target(pid);
-        let target_router = match target {
-            LocalAttach::Chan(c) => self.cfg.chip.chan_router(c),
-            LocalAttach::Endpoint(e) => self.cfg.chip.endpoint_router(e),
-            _ => unreachable!("targets are adapters"),
-        };
-        let here = router.mesh;
-        let attach = if here == target_router {
-            target
-        } else if self.cfg.chip.skip_partner(here) == Some(target_router)
-            && matches!(target, LocalAttach::Chan(c) if c.dir.dim == Dim::X)
-            && st.arrived_via.map(|d| d.dim) == Some(Dim::X)
-        {
-            // X through-traffic bypasses two routers via the skip channel.
-            LocalAttach::Skip
-        } else {
-            let d = self
-                .cfg
-                .dir_order
-                .next_dir(here, target_router)
-                .expect("distinct routers need a mesh hop");
-            LocalAttach::Mesh(d)
-        };
-        let port = self.router_port_of[ridx * self.attach_codes + attach.code()];
-        debug_assert!(port != 0xFF, "routed attach must be a port");
-        let port = port as usize;
-        let group = match attach {
-            LocalAttach::Mesh(_) | LocalAttach::Endpoint(_) => LinkGroup::M,
-            LocalAttach::Skip | LocalAttach::Chan(_) => LinkGroup::T,
-        };
-        (port, st.vc.vc_for(group))
+        let code = self.chip_target(pid).code();
+        debug_assert!(code < 0xFF, "attach code overflows stamp");
+        let vcs = st.pending_vc.unwrap_or(st.vc);
+        let m_vc = vcs.vc_for(LinkGroup::M).0;
+        let t_vc = vcs.vc_for(LinkGroup::T).0;
+        debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
+        let arrived_x = st.arrived_via.map(|d| d.dim) == Some(Dim::X);
+        (code as u8, m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6))
     }
 
-    /// Entry-stamped variant of [`Sim::route_output`]: routes from the
-    /// context the sender stamped into the buffer entry (see
-    /// [`BufEntry::target`]), touching no per-packet slab state. Identical
-    /// by construction to the slab-derived route — the stamp inputs are
-    /// stable for the whole chip traversal (asserted at the fill site in
-    /// debug builds).
+    /// Output port and VC at router `ridx` for a buffer entry stamped with
+    /// `target_code` and `meta` (see [`Sim::route_stamp`]), touching no
+    /// per-packet slab state. The result is cached in the head's gate
+    /// record by the switch-allocation loop, so this is only evaluated
+    /// once per packet per router.
     #[inline]
-    fn route_output_stamped(&self, ridx: usize, target_code: u8, meta: u8) -> (usize, Vc) {
+    fn route_output(&self, ridx: usize, target_code: u8, meta: u8) -> (usize, Vc) {
         let (target, target_router) = self.target_of_code[target_code as usize];
         let here = self.routers[ridx].mesh;
         let attach = if here == target_router {
@@ -2868,27 +2850,7 @@ impl Sim {
     /// [`Sim::send_entry`] directly).
     fn packet_entry(&self, pid: PacketId) -> BufEntry {
         let st = self.packets.get(pid);
-        // Stamp the chip-traversal route context while the slab line is
-        // hot: the target adapter is fixed until the packet leaves the
-        // chip, the VC state changes only at adapters (a staged pending
-        // promotion applies the instant this send completes, so stamp the
-        // promoted state), and the arrival dimension is set once at torus
-        // arrival. Table routes stay unstamped: fault events can swap
-        // routing tables while a packet is mid-chip, and each router must
-        // observe the table as of its own scan.
-        let target = match st.route {
-            RouteProgress::Table { .. } => 0xFF,
-            _ => {
-                let code = self.chip_target(pid).code();
-                debug_assert!(code < 0xFF, "attach code overflows stamp");
-                code as u8
-            }
-        };
-        let vcs = st.pending_vc.unwrap_or(st.vc);
-        let m_vc = vcs.vc_for(LinkGroup::M).0;
-        let t_vc = vcs.vc_for(LinkGroup::T).0;
-        debug_assert!(m_vc < 8 && t_vc < 8, "stamped VC exceeds 3 bits");
-        let arrived_x = st.arrived_via.map(|d| d.dim) == Some(Dim::X);
+        let (target, meta) = self.route_stamp(pid);
         BufEntry {
             pkt: pid,
             ready_at: 0,
@@ -2898,7 +2860,7 @@ impl Sim {
             rc_port: 0xFF,
             rc_vcidx: 0,
             target,
-            meta: m_vc | (t_vc << 3) | (u8::from(arrived_x) << 6),
+            meta,
             age: st.injected_at,
         }
     }
@@ -3032,15 +2994,8 @@ impl Sim {
                     ),
                 };
                 let on_table = matches!(route, RouteProgress::Table { .. });
-                let first_hop = match &route {
-                    RouteProgress::Unicast { spec, .. } => spec.next_dir().is_some(),
-                    RouteProgress::Table {
-                        set, slice, cur, ..
-                    } => self.table_next_hop(*set, *slice, *cur, dst.node).is_some(),
-                    _ => unreachable!("unicast injection"),
-                };
                 let mut vc = self.cfg.vc_policy.start();
-                if first_hop {
+                if self.unicast_next_hop(&route).is_some() {
                     vc.begin_dim();
                 }
                 let pid = self.packets.insert(PacketState {
@@ -3372,30 +3327,15 @@ impl Sim {
         let arrived = st
             .arrived_via
             .expect("arrival transition outside torus arrival");
-        // For table packets the dimension run ends when the *next* hop (or
-        // ejection) departs from the arriving dimension — the same grouping
-        // the certifier's witness-route model uses.
-        let (dim_done, more) = match &st.route {
-            RouteProgress::Unicast { spec, .. } => (
-                spec.offsets[arrived.dim.index()] == 0,
-                spec.next_dir().is_some(),
-            ),
-            RouteProgress::Table {
-                set,
-                slice,
-                cur,
-                dst,
-            } => {
-                let next = self.table_next_hop(*set, *slice, *cur, dst.node);
-                (next.map(|d| d.dim) != Some(arrived.dim), next.is_some())
-            }
-            _ => return,
-        };
-        if dim_done {
+        // The dimension run ends when the next hop (or ejection) leaves the
+        // arriving dimension — for spec and table routes alike, the
+        // grouping the certifier's table walk uses.
+        let next = self.unicast_next_hop(&st.route);
+        if next.map(|d| d.dim) != Some(arrived.dim) {
             let st = self.packets.get_mut(pid);
             let mut promoted = st.vc;
             promoted.end_dim();
-            if more {
+            if next.is_some() {
                 promoted.begin_dim();
             }
             st.pending_vc = Some(promoted);
@@ -3493,9 +3433,7 @@ impl Sim {
                 .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
                 .expect("nonempty requests yield a grant") as u8
         };
-        if self.params.collect_grants {
-            self.grants.serializer += 1;
-        }
+        self.grants.serializer += 1;
         if self.stall.is_some() {
             // VCs that requested but lost the serializer grant.
             let mut losers = req & !(1 << v);
@@ -3545,13 +3483,7 @@ impl Sim {
             st.vc = vc_after;
             st.torus_hops += 1;
             st.arrived_via = Some(dir);
-            match &mut st.route {
-                RouteProgress::Unicast { spec, .. } => {
-                    spec.take_hop(dir);
-                }
-                RouteProgress::Table { cur, .. } => *cur = next_node,
-                _ => {}
-            }
+            st.route.take_hop(dir, next_node);
             if crosses && from_tvc != to_tvc {
                 self.record_event(
                     out_wire as u32,
@@ -3732,21 +3664,17 @@ impl Sim {
                 }
                 let (out_port, out_vcidx, flits) = if m.rc_port == 0xFF {
                     // Route computation: once per packet per router, cached
-                    // in the head's gating metadata. Stamped entries route
-                    // from their sender-provided context — no packet-slab
-                    // load in the hot path.
+                    // in the head's gating metadata. Entries route from the
+                    // context their sender stamped — no packet-slab load in
+                    // the hot path.
                     let e = self.wire_heads[(in_wire << self.vc_shift) + v as usize];
-                    let (out_port, out_vc) = if e.target != 0xFF {
-                        let r = self.route_output_stamped(ridx, e.target, e.meta);
-                        debug_assert_eq!(
-                            r,
-                            self.route_output(ridx, e.pkt),
-                            "stamped route context diverged from slab route"
-                        );
-                        r
-                    } else {
-                        self.route_output(ridx, e.pkt)
-                    };
+                    debug_assert!(e.target != 0xFF, "router received an unstamped entry");
+                    debug_assert_eq!(
+                        (e.target, e.meta),
+                        self.route_stamp(e.pkt),
+                        "stamped route context diverged from slab route"
+                    );
+                    let (out_port, out_vc) = self.route_output(ridx, e.target, e.meta);
                     let out_wire = self.router_out_wire[rbase + out_port] as usize;
                     let class = if e.class == 0 {
                         anton_core::vc::TrafficClass::Request
@@ -3794,9 +3722,7 @@ impl Sim {
                     .pick_mask(req, |i| gate[i as usize].pattern, |i| heads[i as usize].age)
                     .expect("nonempty requests yield a grant")
             };
-            if self.params.collect_grants {
-                self.grants.sa1 += 1;
-            }
+            self.grants.sa1 += 1;
             if self.stall.is_some() {
                 // VCs that requested but lost the input port's SA1 grant.
                 let mut losers = req & !(1 << v);
@@ -3863,9 +3789,7 @@ impl Sim {
                     )
                     .expect("nonempty requests yield a grant") as usize
             };
-            if self.params.collect_grants {
-                self.grants.output += 1;
-            }
+            self.grants.output += 1;
             if self.stall.is_some() {
                 // Input ports whose SA1 winner lost this output's SA2 grant.
                 let mut losers = req & !(1 << inp);

@@ -60,6 +60,21 @@ pub enum RouteProgress {
     },
 }
 
+impl RouteProgress {
+    /// Records a torus hop in direction `dir` onto node `to`: a unicast
+    /// packet advances its spec or its table position; multicast copies
+    /// re-route from their tree at each node.
+    pub(crate) fn take_hop(&mut self, dir: TorusDir, to: NodeId) {
+        match self {
+            RouteProgress::Unicast { spec, .. } => {
+                spec.take_hop(dir);
+            }
+            RouteProgress::Table { cur, .. } => *cur = to,
+            RouteProgress::McExit { .. } | RouteProgress::McDeliver { .. } => {}
+        }
+    }
+}
+
 /// Full state of one in-flight packet.
 #[derive(Debug, Clone)]
 pub struct PacketState {

@@ -200,10 +200,10 @@ pub struct BufEntry {
     /// Route-computation cache: VC index on the output wire.
     pub rc_vcidx: u8,
     /// Stamped chip-traversal route context: dense [`LocalAttach`] code of
-    /// the packet's target adapter on the current chip (`0xFF` = unstamped;
-    /// routers fall back to the packet slab). Stamped where the packet
-    /// enters the mesh (injection or channel adapter), where its slab line
-    /// is already hot; stable until the packet leaves the chip.
+    /// the packet's target adapter on the current chip (`0xFF` = unstamped,
+    /// only on torus wires, which no router reads). Stamped where the
+    /// packet enters the mesh (injection or channel adapter), where its
+    /// slab line is already hot; stable until the packet leaves the chip.
     ///
     /// [`LocalAttach`]: anton_core::chip::LocalAttach
     pub target: u8,

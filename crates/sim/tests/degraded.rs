@@ -9,13 +9,14 @@ use anton_core::chip::ChanId;
 use anton_core::config::MachineConfig;
 use anton_core::route_table::DownLinkSet;
 use anton_core::topology::{NodeId, TorusShape};
+use anton_core::trace::{trace_table_hops, GlobalLink};
 use anton_fault::{FaultKind, FaultSchedule};
 use anton_sim::driver::BatchDriver;
 use anton_sim::params::SimParams;
 use anton_sim::shard::ShardedSim;
-use anton_sim::sim::{RunOutcome, Sim};
+use anton_sim::sim::{Delivery, Driver, PacketDelivery, RunOutcome, Sim};
 use anton_traffic::patterns::UniformRandom;
-use anton_verify::verify_degraded;
+use anton_verify::{build_degraded_tables, verify_degraded};
 
 /// A schedule where exactly one link is dead for the whole run.
 fn down_forever(node: NodeId, chan: ChanId) -> FaultSchedule {
@@ -175,5 +176,88 @@ fn sharded_kernel_matches_serial_under_permanent_outage() {
         assert_eq!(ss.injected_packets, ds.injected_packets);
         assert_eq!(ss.rerouted_packets, ds.rerouted_packets);
         assert_eq!(ss.flit_hops, ds.flit_hops);
+    }
+}
+
+/// Wraps a batch driver, keeping every delivery that rode a degraded table.
+struct TableDeliveries {
+    inner: BatchDriver,
+    table_routed: Vec<PacketDelivery>,
+}
+
+impl Driver for TableDeliveries {
+    fn pre_cycle(&mut self, sim: &mut Sim) {
+        self.inner.pre_cycle(sim);
+    }
+    fn on_delivery(&mut self, sim: &mut Sim, d: &Delivery) {
+        if let Delivery::Packet(p) = d {
+            if p.rerouted {
+                self.table_routed.push(p.clone());
+            }
+        }
+        self.inner.on_delivery(sim, d);
+    }
+    fn done(&self, sim: &Sim) -> bool {
+        self.inner.done(sim)
+    }
+}
+
+#[test]
+fn table_routed_packets_take_the_traced_table_path() {
+    // The simulator's route log is the independent oracle for table
+    // routes: every packet the down-link check steers onto the degraded
+    // table at injection must cross exactly the links, on exactly the
+    // VCs, that the reference tracer gives its table path. With the link
+    // Down from cycle 0 nothing is ever drained off it, so every rerouted
+    // delivery was steered at injection.
+    let shape = TorusShape::cube(4);
+    let cfg = MachineConfig::new(shape);
+    let (node, chan) = (NodeId(0), ChanId::from_index(0));
+    let params = SimParams {
+        fault: Some(down_forever(node, chan)),
+        ..SimParams::default()
+    };
+    let mut sim = Sim::builder().config(cfg.clone()).params(params).build();
+    sim.record_routes = true;
+    let mut drv = TableDeliveries {
+        inner: BatchDriver::builder(&sim)
+            .pattern(Box::new(UniformRandom))
+            .packets_per_endpoint(4)
+            .seed(11)
+            .build(),
+        table_routed: Vec::new(),
+    };
+    assert_eq!(sim.run(&mut drv, 10_000_000), RunOutcome::Completed);
+    assert!(!drv.table_routed.is_empty(), "no packet took the tables");
+    assert_eq!(drv.table_routed.len() as u64, sim.stats().rerouted_packets);
+    let (tables, diags) =
+        build_degraded_tables(&cfg, &DownLinkSet::from_links(shape, [(node, chan)]));
+    assert!(diags.is_empty(), "{diags:?}");
+    for p in &drv.table_routed {
+        let log = p.route_log.as_ref().expect("route recorded");
+        let slice = log
+            .iter()
+            .find_map(|(l, _)| match l {
+                GlobalLink::Torus { slice, .. } => Some(*slice),
+                _ => None,
+            })
+            .expect("a steered packet leaves its node");
+        let hops = tables[slice.0 as usize]
+            .path(p.src.node, p.dst.node)
+            .expect("installed tables reach every pair");
+        let expected = trace_table_hops(
+            &cfg,
+            shape.coord(p.src.node),
+            Some(p.src.ep),
+            &hops,
+            slice,
+            Some(p.dst.ep),
+            &mut |c, d| shape.hop_crosses_dateline(c, d),
+        );
+        assert_eq!(
+            *log, expected,
+            "table route mismatch {} -> {} on {slice}",
+            p.src.node, p.dst.node
+        );
     }
 }

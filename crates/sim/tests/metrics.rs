@@ -127,14 +127,13 @@ impl anton_sim::sim::Driver for RecordingBatch {
 
 #[test]
 fn instrumentation_toggles_never_change_routing_or_deliveries() {
-    // Flipping collect_grants, collect_metrics, and any TraceConfig (event
-    // recording, sampling at any window size) must be observationally
-    // invisible: identical link-level routes, VCs, per-packet delivery
-    // cycles, and final simulated time.
-    let run = |collect_grants: bool, collect_metrics: bool, trace: TraceConfig| {
+    // Flipping collect_metrics and any TraceConfig (event recording,
+    // sampling at any window size) must be observationally invisible:
+    // identical link-level routes, VCs, per-packet delivery cycles, and
+    // final simulated time.
+    let run = |collect_metrics: bool, trace: TraceConfig| {
         let cfg = MachineConfig::new(TorusShape::cube(2));
         let params = SimParams {
-            collect_grants,
             collect_metrics,
             trace,
             seed: 11,
@@ -169,18 +168,13 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         log.sort_by_key(|(src, dst, inj, del, ..)| (*src, *dst, *inj, *del));
         (sim.now(), log)
     };
-    let reference = run(true, false, TraceConfig::default()); // the defaults
-    for (grants, metrics) in [(false, false), (true, true), (false, true)] {
-        let got = run(grants, metrics, TraceConfig::default());
-        assert_eq!(
-            reference.0, got.0,
-            "final cycle changed under grants={grants} metrics={metrics}"
-        );
-        assert_eq!(
-            reference.1, got.1,
-            "deliveries/routes changed under grants={grants} metrics={metrics}"
-        );
-    }
+    let reference = run(false, TraceConfig::default()); // the defaults
+    let got = run(true, TraceConfig::default());
+    assert_eq!(reference.0, got.0, "final cycle changed under metrics");
+    assert_eq!(
+        reference.1, got.1,
+        "deliveries/routes changed under metrics"
+    );
     // Observability at any setting: full event recording (tiny and large
     // rings), sampling at several window sizes, stall attribution, all at
     // once, and the profiler flag.
@@ -204,7 +198,7 @@ fn instrumentation_toggles_never_change_routing_or_deliveries() {
         },
     ];
     for trace in trace_variants {
-        let got = run(true, false, trace);
+        let got = run(false, trace);
         assert_eq!(reference.0, got.0, "final cycle changed under {trace:?}");
         assert_eq!(
             reference.1, got.1,

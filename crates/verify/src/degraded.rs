@@ -3,11 +3,11 @@
 //! deadlocking.
 //!
 //! The load-bearing entry point is the **explicit table certificate**
-//! ([`certify_tables`]): every `(src, dst)` path of a concrete table set
-//! is walked through the reference tracer, the resulting
-//! channel-dependency edges are overlaid on the *healthy* minimal-routing
-//! graph (randomized minimal traffic that can be in flight alongside the
-//! rerouted traffic), and the union is checked for cycles. The simulator
+//! ([`certify_tables`]): every route of a concrete table set is walked
+//! hop by hop, as the simulator runs it, the resulting channel-dependency
+//! edges are overlaid on the *healthy* minimal-routing graph (randomized
+//! minimal traffic that can be in flight alongside the rerouted traffic),
+//! and the union is checked for cycles. The simulator
 //! certifies the union of every table it will ever install for a run —
 //! packets pinned to different degradation epochs coexist, so their
 //! dependency edges must be acyclic *together*, not just per epoch.
@@ -61,9 +61,9 @@ pub fn certify_family(cfg: &MachineConfig) -> DeadlockCertificate {
     crate::symbolic::certify(&VerifyModel::degraded_family(cfg.clone()))
 }
 
-/// Explicitly certifies a concrete set of route tables: every
-/// `(src, dst)` path is walked through the reference tracer, the
-/// resulting channel-dependency edges are overlaid on the *healthy*
+/// Explicitly certifies a concrete set of route tables: every route is
+/// walked hop by hop ([`TableRouting`]), the resulting
+/// channel-dependency edges are overlaid on the *healthy*
 /// minimal-routing graph (the randomized minimal traffic that can be in
 /// flight at the same time), and the union is checked for cycles.
 ///
